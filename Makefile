@@ -1,10 +1,11 @@
 # Verification entry points. `make verify` is the tier-1 gate: build, unit
 # tests, and the full race-detector sweep (the staged pipeline engine and
-# the sharded gate are concurrent code; -race is not optional for them).
+# the gate's overlapping Decide/Feedback are concurrent code; -race is not
+# optional for them).
 
 GO ?= go
 
-.PHONY: build test race verify verify-quick vet fuzz bench chaos soak alloc-smoke corpus replay scale cluster failover benchdiff
+.PHONY: build test race verify verify-quick vet fuzz bench chaos soak alloc-smoke corpus replay scale cluster failover benchdiff perfbench loc
 
 build:
 	$(GO) build ./...
@@ -29,6 +30,13 @@ vet:
 		echo "staticcheck not installed; skipping"; \
 	fi
 
+# Non-test Go lines per package (the line-count record CHANGES.md keeps).
+loc:
+	@$(GO) list -f '{{.Dir}}{{range .GoFiles}} {{.}}{{end}}' ./... | while read dir files; do \
+		n=0; if [ -n "$$files" ]; then n=$$(cd "$$dir" && cat $$files | wc -l); fi; \
+		rel=$${dir#$(CURDIR)}; rel=$${rel#/}; printf '%6d %s\n' "$$n" "$${rel:-.}"; \
+	done
+
 # Cheap allocation regression gates for the gating hot loop: a steady-state
 # Decide+Feedback round and the batched compiled forward must stay at ~zero
 # allocs/op (testing.AllocsPerRun, no benchmark run needed).
@@ -37,7 +45,13 @@ alloc-smoke:
 	$(GO) test ./internal/predictor -run 'TestPredictIntoZeroAlloc|TestWindowZeroAlloc' -count 1
 	$(GO) test ./internal/nn -run TestCompiledForwardZeroAlloc -count 1
 
-verify: build vet test race alloc-smoke replay soak scale cluster failover benchdiff
+verify: build vet test perfbench race alloc-smoke replay soak scale cluster failover benchdiff
+
+# The benchmark module: perfbench/ is a separate Go module (it pulls this
+# one in through a replace directive), so `go test ./...` at the root never
+# compiles it, and a gate API change that breaks it would pass unnoticed.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Headline-regression gate: after `make scale`/`make cluster` rewrite the
 # BENCH files, compare their headline speedups against the copies committed
@@ -46,9 +60,10 @@ verify: build vet test race alloc-smoke replay soak scale cluster failover bench
 benchdiff:
 	$(GO) run ./cmd/benchdiff
 
-# The inner-loop gate: build, vet, and unraced unit tests only — no race
-# sweep, soak, or paper-scale experiment runs. Seconds, not minutes.
-verify-quick: build vet test
+# The inner-loop gate: build, vet, and unraced unit tests (root module and
+# the perfbench module) only — no race sweep, soak, or paper-scale
+# experiment runs.
+verify-quick: build vet test perfbench
 
 # The distributed gating cluster gate: the full-size oracle-equality and
 # chaos harness under the race detector (10k streams x 8 workers), then the
@@ -127,8 +142,9 @@ chaos:
 	$(GO) run -race ./cmd/pgbench -exp chaos
 
 # Hot-loop microbenches (with allocation counts), then the hotpath sweep,
-# which rewrites BENCH_hotpath.json with this host's fast-vs-reference
-# Decide-round throughput at m = 64/256/1024.
+# which rewrites BENCH_hotpath.json with this host's Decide-round
+# throughput at m = 64/256/1024 and the compiled-vs-reference forward
+# speedup.
 bench:
 	$(GO) test ./internal/nn -run NONE -bench 'Forward' -benchtime 2s -benchmem
 	$(GO) test ./internal/core -run NONE -bench 'DecideRound' -benchtime 2s -benchmem

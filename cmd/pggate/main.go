@@ -50,7 +50,6 @@ func main() {
 		pipelined = flag.Bool("pipelined", false, "overlap rounds through the staged engine")
 		inflight  = flag.Int("inflight", 1, "feedback lag k: rounds in flight (pipelined) / ack deferral (sequential)")
 		fresh     = flag.Bool("fresh", false, "apply feedback on round completion instead of the deterministic lag schedule (pipelined only)")
-		shards    = flag.Int("shards", 0, "gate state shards (0 = default)")
 		burn      = flag.Int64("burn", 0, "CPU nanoseconds burned per decode-cost unit (software decoder model)")
 		latency   = flag.Int64("latency", 0, "wall-clock nanoseconds per decode-cost unit (offloaded decoder model)")
 		faults    = flag.String("faults", "", "fault profile: none, light, chaos, heavy, or key=value list (arms circuit breakers)")
@@ -240,7 +239,7 @@ func main() {
 	case "random":
 		gate = core.NewBaselineGate(m, decode.DefaultCosts, knapsack.NewRandom(*seed), nil, *budget)
 	case "packetgame":
-		cfg := core.Config{Streams: m, Window: *window, Budget: *budget, UseTemporal: true, Shards: *shards}
+		cfg := core.Config{Streams: m, Window: *window, Budget: *budget, UseTemporal: true}
 		if inj != nil {
 			cfg.Breaker = &core.BreakerConfig{}
 		}

@@ -84,7 +84,7 @@ func Audit(c *Capture, opts AuditOptions) (AuditResult, error) {
 			return res, fmt.Errorf("capture: decision %d: %w", i, err)
 		}
 		planner.Set(rec.Budget, mode)
-		sel, err = gate.DecideAppend(c.Rounds[i].Pkts, sel[:0])
+		sel, err = gate.DecideRoundAppend(c.Rounds[i].Pkts, nil, sel[:0])
 		if err != nil {
 			return res, fmt.Errorf("capture: replaying round %d: %w", i, err)
 		}

@@ -93,7 +93,7 @@ func corpusFleet(spec CorpusSpec) []*codec.Stream {
 // of (stream, seq) giving a ~60% necessary rate, so the temporal estimator
 // sees mixed rewards without depending on decoder internals.
 func necessity(seed int64, p *codec.Packet) bool {
-	h := uint64(p.Seq)*2654435761 + uint64(p.StreamID)*7919 + uint64(seed)*1e9+7
+	h := uint64(p.Seq)*2654435761 + uint64(p.StreamID)*7919 + uint64(seed)*1e9 + 7
 	return h%5 < 3
 }
 
@@ -219,7 +219,7 @@ func GenerateCorpus(w io.Writer, spec CorpusSpec) error {
 				return err
 			}
 		}
-		sel, err = gate.DecideAppend(pkts, sel[:0])
+		sel, err = gate.DecideRoundAppend(pkts, nil, sel[:0])
 		if err != nil {
 			return err
 		}

@@ -78,7 +78,7 @@ type session struct {
 	err  error         // set before down is closed
 }
 
-// Worker is one data-plane process: it runs the full sharded gate over the
+// Worker is one data-plane process: it runs the full gate over the
 // global stream-ID space — scoring only the streams the coordinator routes
 // to it — and defers the knapsack solve to the coordinator through a remote
 // selector that trades candidate frames for grant frames inside Decide.
@@ -1101,30 +1101,15 @@ type remoteSelector struct {
 // Name implements knapsack.Selector.
 func (*remoteSelector) Name() string { return "cluster-remote" }
 
-// Select implements knapsack.Selector.
+// Select implements knapsack.Selector. The gate never calls it: it hands
+// a knapsack.SparseSelector its candidates through SelectSparseAppend.
 func (r *remoteSelector) Select(items []knapsack.Item, budget float64) []int {
-	return r.SelectAppend(nil, items, budget)
+	panic("cluster: remoteSelector solves sparse candidates only")
 }
 
-// SelectAppend implements knapsack.SelectAppender. items is the gate's
-// dense per-stream array: zero entries are idle/quarantined/shed streams (a
-// single gate would not offer them either), everything else is offered to
-// the global solve verbatim.
-func (r *remoteSelector) SelectAppend(dst []int, items []knapsack.Item, budget float64) []int {
-	r.cands = r.cands[:0]
-	for i, it := range items {
-		if it.Value == 0 && it.Cost == 0 {
-			continue
-		}
-		r.cands = append(r.cands, knapsack.Candidate{Stream: int32(i), Value: it.Value, Cost: it.Cost})
-	}
-	return r.solve(dst, budget)
-}
-
-// SelectSparseAppend implements knapsack.SparseSelector: the gate's sparse
-// decide path hands the active candidates directly. The zero-value/zero-cost
-// skip mirrors SelectAppend's so both paths put bit-identical candidate
-// frames on the wire.
+// SelectSparseAppend implements knapsack.SparseSelector: the gate's decide
+// path hands the active candidates directly. Zero-value zero-cost
+// candidates are not offered to the global solve.
 func (r *remoteSelector) SelectSparseAppend(dst []int, cands []knapsack.Candidate, budget float64) []int {
 	r.cands = r.cands[:0]
 	for _, c := range cands {

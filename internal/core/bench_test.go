@@ -9,11 +9,9 @@ import (
 
 // The Decide-round benchmarks measure the gating hot loop in isolation:
 // packet rounds are pregenerated so the codec substrate stays off the
-// clock, and feedback reuses one necessary mask. The Reference variants run
-// the same gate with NoFastPath (float64 autodiff forward), which is the
-// pre-fast-path baseline recorded in BENCH_hotpath.json.
+// clock, and feedback reuses one necessary mask.
 
-func benchGate(tb testing.TB, m int, noFast bool) (*Gate, [][]*codec.Packet) {
+func benchGate(tb testing.TB, m int) (*Gate, [][]*codec.Packet) {
 	tb.Helper()
 	p, err := predictor.New(predictor.DefaultConfig())
 	if err != nil {
@@ -21,7 +19,7 @@ func benchGate(tb testing.TB, m int, noFast bool) (*Gate, [][]*codec.Packet) {
 	}
 	g, err := NewGate(Config{
 		Streams: m, Budget: float64(m) / 25, Predictor: p,
-		UseTemporal: true, NoFastPath: noFast,
+		UseTemporal: true,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -42,16 +40,16 @@ func benchGate(tb testing.TB, m int, noFast bool) (*Gate, [][]*codec.Packet) {
 	return g, pre
 }
 
-func benchDecideRound(b *testing.B, m int, noFast bool) {
+func benchDecideRound(b *testing.B, m int) {
 	b.Helper()
-	g, pre := benchGate(b, m, noFast)
+	g, pre := benchGate(b, m)
 	var sel []int
 	necessary := make([]bool, m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		sel, err = g.DecideAppend(pre[i%len(pre)], sel[:0])
+		sel, err = g.DecideRoundAppend(pre[i%len(pre)], nil, sel[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,13 +59,9 @@ func benchDecideRound(b *testing.B, m int, noFast bool) {
 	}
 }
 
-func BenchmarkDecideRound64(b *testing.B)   { benchDecideRound(b, 64, false) }
-func BenchmarkDecideRound256(b *testing.B)  { benchDecideRound(b, 256, false) }
-func BenchmarkDecideRound1024(b *testing.B) { benchDecideRound(b, 1024, false) }
-
-func BenchmarkDecideRoundReference64(b *testing.B)   { benchDecideRound(b, 64, true) }
-func BenchmarkDecideRoundReference256(b *testing.B)  { benchDecideRound(b, 256, true) }
-func BenchmarkDecideRoundReference1024(b *testing.B) { benchDecideRound(b, 1024, true) }
+func BenchmarkDecideRound64(b *testing.B)   { benchDecideRound(b, 64) }
+func BenchmarkDecideRound256(b *testing.B)  { benchDecideRound(b, 256) }
+func BenchmarkDecideRound1024(b *testing.B) { benchDecideRound(b, 1024) }
 
 // TestDecideRoundAllocCeiling is the verify-gate smoke bench: after warmup,
 // a steady-state Decide+Feedback round must stay under a small allocs/op
@@ -78,13 +72,13 @@ func TestDecideRoundAllocCeiling(t *testing.T) {
 		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
 	}
 	const m = 128
-	g, pre := benchGate(t, m, false)
+	g, pre := benchGate(t, m)
 	var sel []int
 	necessary := make([]bool, m)
 	round := 0
 	run := func() {
 		var err error
-		sel, err = g.DecideAppend(pre[round%len(pre)], sel[:0])
+		sel, err = g.DecideRoundAppend(pre[round%len(pre)], nil, sel[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,14 +97,16 @@ func TestDecideRoundAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestFastPathMatchesReferenceDecisions runs fast and reference gates over
-// identical packet rounds and checks the decisions agree in aggregate: the
-// float32 fast path may flip exact near-ties in greedy ordering, so we bound
-// the per-round symmetric-difference rate rather than demand identity.
+// TestFastPathMatchesReferenceDecisions runs a gate on the compiled float32
+// forward and one on the float64 autodiff reference over identical packet
+// rounds and checks the decisions agree in aggregate: the float32 fast path
+// may flip exact near-ties in greedy ordering, so we bound the per-round
+// symmetric-difference rate rather than demand identity.
 func TestFastPathMatchesReferenceDecisions(t *testing.T) {
 	const m, rounds = 96, 60
-	fast, pre := benchGate(t, m, false)
-	ref, _ := benchGate(t, m, true)
+	fast, pre := benchGate(t, m)
+	ref, _ := benchGate(t, m)
+	ref.useReferenceForward()
 	necessary := make([]bool, m)
 	var diff, total int
 	selB := make([]bool, m)
@@ -151,6 +147,15 @@ func TestFastPathMatchesReferenceDecisions(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("reference gate selected nothing")
+	}
+	// The two forwards round differently, so some confidence must differ:
+	// otherwise both gates ran the same forward and the check is vacuous.
+	same := true
+	for i := 0; i < m && same; i++ {
+		same = fast.Confidence(i) == ref.Confidence(i)
+	}
+	if same {
+		t.Fatal("reference gate reproduced every fast-path confidence bit for bit")
 	}
 	if rate := float64(diff) / float64(total); rate > 0.05 {
 		t.Fatalf("fast vs reference decisions diverge on %.1f%% of selections (diff %d / %d)", rate*100, diff, total)

@@ -9,9 +9,9 @@
 // the streams that delivered a packet (and, for the network forward, only
 // the subset whose feature windows actually changed — the rest replay from
 // the score cache), so a 100k-stream fleet where 1% of windows move per
-// round pays roughly 1% of the dense recompute. Config.NoIncremental turns
-// all of it off and recomputes everything every round; the two paths are
-// bit-identical, which the incremental property tests enforce.
+// round pays roughly 1% of the dense recompute. The tests pin this to the
+// dense recompute bit for bit: a twin gate whose score cache is dropped
+// every round, checked against the dense knapsack solvers.
 package core
 
 import (
@@ -19,6 +19,7 @@ import (
 	"math"
 	"sync"
 
+	"packetgame/internal/bandit"
 	"packetgame/internal/codec"
 	"packetgame/internal/decode"
 	"packetgame/internal/knapsack"
@@ -55,10 +56,11 @@ type Config struct {
 	// preserving the regret guarantee (§5.4). Defaults to the value of
 	// UseTemporal.
 	Explore *bool
-	// Selector is the combinatorial optimizer (default knapsack.Greedy).
-	// Supplying a custom Selector routes every round through the dense
-	// per-round solve (the incremental ranked structure assumes the
-	// greedy/tiered semantics it replicates).
+	// Selector, when non-nil, replaces the built-in greedy optimizer (the
+	// incremental knapsack.Ranked, which replicates knapsack.Greedy and
+	// knapsack.Tiered). A knapsack.SparseSelector receives the round's
+	// candidates; any other Selector sees an m-length item array in which
+	// streams not in play this round are zero items.
 	Selector knapsack.Selector
 	// DependencyAware folds undecoded reference chains into packet costs
 	// (Fig 6). Disabling it is a design ablation: costs become the bare
@@ -71,13 +73,6 @@ type Config struct {
 	OnlineLR float64
 	// OnlineBatch is the minibatch size for online updates (default 64).
 	OnlineBatch int
-	// Shards partitions the per-stream gate state (temporal counters,
-	// predictor feature store, dependency trackers) into independently
-	// locked shards keyed by stream ID, so redundancy feedback from
-	// completed rounds lands without serializing against admission of new
-	// rounds. Purely a concurrency knob: decisions are identical for any
-	// shard count. Default min(8, Streams).
-	Shards int
 	// MaxPending is the number of decided-but-unacked rounds the gate
 	// tolerates before Decide fails. The default 1 enforces the paper's
 	// strict Decide/Feedback alternation; the pipelined engine raises it
@@ -126,23 +121,6 @@ type Config struct {
 	// redundancy outcomes are known). *trace.Writer streams JSON Lines; a
 	// capture recorder embeds the same records next to the packets.
 	Trace trace.Sink
-	// NoFastPath disables the compiled batched inference fast path and
-	// scores streams through the reference float64 forwardBatch instead.
-	// Decisions are equivalent up to float32 rounding on exact confidence
-	// ties; the knob exists for A/B benchmarking and debugging.
-	NoFastPath bool
-	// NoIncremental disables the churn-scaled machinery: every round
-	// re-runs the predictor forward for every scored stream (no score
-	// cache) and solves the knapsack from a dense per-round item build and
-	// sort, exactly like the pre-incremental gate. Decisions and traces
-	// are bit-identical either way — the incremental property tests use
-	// this knob as their oracle — so the only reason to set it is A/B
-	// benchmarking the incremental machinery itself.
-	NoIncremental bool
-
-	// customSelector records whether the caller supplied Selector (set by
-	// withDefaults); such gates keep the dense per-round solve.
-	customSelector bool
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -166,10 +144,6 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("core: Priorities require the tiered solver and cannot combine with a custom Selector")
 		}
 	}
-	c.customSelector = c.Selector != nil
-	if c.Selector == nil {
-		c.Selector = &knapsack.Greedy{}
-	}
 	if c.Predictor == nil && !c.UseTemporal {
 		return c, fmt.Errorf("core: need a predictor, the temporal estimator, or both")
 	}
@@ -186,15 +160,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.OnlineBatch == 0 {
 		c.OnlineBatch = 64
-	}
-	if c.Shards < 0 {
-		return c, fmt.Errorf("core: Shards must be non-negative, got %d", c.Shards)
-	}
-	if c.Shards == 0 {
-		c.Shards = 8
-	}
-	if c.Shards > c.Streams {
-		c.Shards = c.Streams
 	}
 	if c.MaxPending < 0 {
 		return c, fmt.Errorf("core: MaxPending must be non-negative, got %d", c.MaxPending)
@@ -257,17 +222,17 @@ type pendingRound struct {
 //
 // Concurrency: the Gate is safe for concurrent use. Decide calls serialize
 // against each other, Feedback calls serialize against each other, and a
-// Decide may run concurrently with a Feedback — the per-stream state they
-// share (the temporal estimator counters) is sharded behind per-shard locks
-// (Config.Shards), so feedback lands without stalling admission. Feedback
-// acks pending rounds strictly in decision order (FIFO), which keeps the
-// UCB reward windows ordered even when rounds complete out of order
+// Decide may run concurrently with a Feedback — the only per-stream state
+// they share, the temporal estimator, has its own lock. Feedback acks
+// pending rounds strictly in decision order (FIFO), which keeps the UCB
+// reward windows ordered even when rounds complete out of order
 // downstream. Up to Config.MaxPending rounds may be awaiting feedback.
 type Gate struct {
 	cfg Config
 
 	// decideMu serializes Decide and guards the decision scratch buffers,
-	// the predictor forward pass, and the online trainer's weight updates.
+	// the feature store, the dependency trackers, the predictor forward
+	// pass, and the online trainer's weight updates.
 	decideMu sync.Mutex
 	// ackMu serializes Feedback and guards the reward scratch.
 	ackMu sync.Mutex
@@ -275,7 +240,16 @@ type Gate struct {
 	// writer, and the online-sample buffer. Innermost lock.
 	pendMu sync.Mutex
 
-	shards *streamShards
+	// Per-stream state, indexed by stream ID. The temporal estimator is the
+	// one piece Decide reads while Feedback writes it, so it alone carries
+	// a lock (estMu); est is nil when neither the temporal term nor the
+	// exploration bonus is enabled. store is the predictor's feature state
+	// (size rings, poison counters, and the feature epochs the score cache
+	// keys on); trackers are the GOP dependency trackers (Fig 6).
+	estMu    sync.Mutex
+	est      *bandit.TemporalEstimator
+	store    *predictor.Store
+	trackers []*decode.Tracker
 
 	// breakers is the per-stream circuit-breaker set (nil when disabled).
 	// It carries its own lock: Decide advances it under decideMu while
@@ -299,36 +273,37 @@ type Gate struct {
 	// them so the next round resets exactly those — every other entry is
 	// still at its zero value, making the reset equivalent to the dense
 	// full-array zeroing without the O(m) walk.
-	items      []knapsack.Item
 	feats      []predictor.Features
 	active     []int   // admitted streams, ascending (scored this round)
 	fresh      []int   // active subset re-scored through the network
 	nonIdleBuf []int32 // scanned non-idle list when the caller supplies none
 	sweep      []int32 // non-quarantined non-idle (windows advance)
 	touched    []int32
-	shardIDs   [][]int32 // per-shard grouping scratch
 	conf       []float64
 	costs      []float64
 	temporal   []float64
 	bonus      []float64
-	predOut    []float64 // [len(fresh) × tasks] confidences, row-major
-	selOut     []int     // SelectAppend scratch
-	selected   []bool    // all-false between rounds
-	degraded   []bool    // poisoned-window streams scored temporal-only this round
-	shed       []bool    // streams refused admission by the brownout mode this round
-	tasks      int       // predictor head count (0 without a predictor)
-	selApp     knapsack.SelectAppender // non-nil when Selector supports append
-	selSparse  knapsack.SparseSelector // non-nil when Selector supports sparse candidates
-	cands      []knapsack.Candidate    // sparse candidate scratch (active streams only)
-	pktAt      []*codec.Packet         // sparse-round scatter scratch (m-length, nil between rounds)
+	predOut    []float64       // [len(fresh) × tasks] confidences, row-major
+	selOut     []int           // selection scratch
+	selected   []bool          // all-false between rounds
+	degraded   []bool          // poisoned-window streams scored temporal-only this round
+	shed       []bool          // streams refused admission by the brownout mode this round
+	tasks      int             // predictor head count (0 without a predictor)
+	pktAt      []*codec.Packet // sparse-round scatter scratch (m-length, nil between rounds)
 
-	// Incremental machinery. ranked is the persistent score-ordered
-	// candidate structure (nil with NoIncremental or a custom Selector);
-	// the cache arrays memoize the network confidence per stream, keyed by
-	// (feature epoch, temporal input, weights version). inc gates cache
-	// use: it is false when NoIncremental or without a predictor.
-	ranked       *knapsack.Ranked
-	inc          bool
+	// forward scores a batch of feature rows into a row-major
+	// [len(feats) × tasks] output: the predictor's compiled PredictInto.
+	forward func(feats []predictor.Features, out []float64) error
+
+	// Selection: ranked is the persistent score-ordered candidate structure
+	// of the built-in optimizer; with a custom Config.Selector it is nil and
+	// custom receives the round's candidates (from cands) instead.
+	ranked *knapsack.Ranked
+	custom knapsack.SparseSelector
+	cands  []knapsack.Candidate
+
+	// Score cache (with a predictor): the network confidence per stream,
+	// keyed by (feature epoch, temporal input, weights version).
 	cacheConf    []float64
 	cacheEpoch   []uint64
 	cacheTemp    []float64
@@ -336,9 +311,8 @@ type Gate struct {
 	cacheValid   []bool
 	incStats     IncrementalStats
 
-	// Tiered admission control (Config.Priorities). tiers is the clamped
-	// per-stream tier table, fixed at construction.
-	tiered   *knapsack.Tiered
+	// Tiered admission control (Config.Priorities). tiers is the per-stream
+	// tier table, fixed at construction.
 	tiers    []uint8
 	numTiers int
 
@@ -350,8 +324,10 @@ type Gate struct {
 
 	// Feedback scratch (ackMu). reward is m-length, all-zero between
 	// rounds: entries are set for a feedback's selections and cleared
-	// again after the estimator push lists are built.
-	reward []float64
+	// again once the estimator push list (pushIDs, pushRew) is built.
+	reward  []float64
+	pushIDs []int32
+	pushRew []float64
 
 	// Online learning (OnlineLR > 0). Weight updates take decideMu; the
 	// slab backs buffered samples and resets after every trainer step.
@@ -368,16 +344,11 @@ func NewGate(cfg Config) (*Gate, error) {
 	if err != nil {
 		return nil, err
 	}
-	needEst := cfg.UseTemporal || *cfg.Explore
-	shards, err := newStreamShards(cfg.Streams, cfg.Shards, cfg.Window, needEst, cfg.Costs)
-	if err != nil {
-		return nil, err
-	}
 	g := &Gate{
 		cfg:        cfg,
-		shards:     shards,
+		store:      predictor.NewStore(cfg.Streams, cfg.Window),
+		trackers:   make([]*decode.Tracker, cfg.Streams),
 		maxPending: cfg.MaxPending,
-		items:      make([]knapsack.Item, cfg.Streams),
 		conf:       make([]float64, cfg.Streams),
 		costs:      make([]float64, cfg.Streams),
 		temporal:   make([]float64, cfg.Streams),
@@ -386,7 +357,14 @@ func NewGate(cfg Config) (*Gate, error) {
 		degraded:   make([]bool, cfg.Streams),
 		shed:       make([]bool, cfg.Streams),
 		reward:     make([]float64, cfg.Streams),
-		shardIDs:   make([][]int32, len(shards.shards)),
+	}
+	for i := range g.trackers {
+		g.trackers[i] = decode.NewTracker(cfg.Costs)
+	}
+	if cfg.UseTemporal || *cfg.Explore {
+		if g.est, err = bandit.NewTemporalEstimator(cfg.Streams, cfg.Window); err != nil {
+			return nil, err
+		}
 	}
 	if len(cfg.Priorities) != 0 {
 		g.numTiers = 1
@@ -396,29 +374,27 @@ func NewGate(cfg Config) (*Gate, error) {
 			}
 		}
 		g.tiers = append([]uint8(nil), cfg.Priorities...)
-		g.tiered = &knapsack.Tiered{}
 	}
 	if cfg.Predictor != nil {
 		g.tasks = cfg.Predictor.Config().Tasks
-		if !cfg.NoFastPath {
-			if err := cfg.Predictor.Compile(); err != nil {
-				return nil, fmt.Errorf("core: compiling inference fast path: %w", err)
-			}
+		if err := cfg.Predictor.Compile(); err != nil {
+			return nil, fmt.Errorf("core: compiling inference fast path: %w", err)
 		}
-		g.inc = !cfg.NoIncremental
-		if g.inc {
-			g.cacheConf = make([]float64, cfg.Streams)
-			g.cacheEpoch = make([]uint64, cfg.Streams)
-			g.cacheTemp = make([]float64, cfg.Streams)
-			g.cachePredVer = make([]uint64, cfg.Streams)
-			g.cacheValid = make([]bool, cfg.Streams)
-		}
+		g.forward = cfg.Predictor.PredictInto
+		g.cacheConf = make([]float64, cfg.Streams)
+		g.cacheEpoch = make([]uint64, cfg.Streams)
+		g.cacheTemp = make([]float64, cfg.Streams)
+		g.cachePredVer = make([]uint64, cfg.Streams)
+		g.cacheValid = make([]bool, cfg.Streams)
 	}
-	if !cfg.NoIncremental && !cfg.customSelector {
+	switch sel := cfg.Selector.(type) {
+	case nil:
 		g.ranked = knapsack.NewRanked(cfg.Streams)
+	case knapsack.SparseSelector:
+		g.custom = sel
+	default:
+		g.custom = &denseSelector{sel: sel, items: make([]knapsack.Item, cfg.Streams)}
 	}
-	g.selApp, _ = cfg.Selector.(knapsack.SelectAppender)
-	g.selSparse, _ = cfg.Selector.(knapsack.SparseSelector)
 	if cfg.OnlineLR > 0 {
 		g.trainer = predictor.NewTrainer(cfg.Predictor, cfg.OnlineLR)
 		g.trainSlab = &predictor.Slab{}
@@ -490,29 +466,20 @@ func (g *Gate) SetMaxPending(k int) {
 // be decoded. At most MaxPending rounds may be outstanding: with the default
 // of 1, Feedback must be called before the next Decide.
 func (g *Gate) Decide(pkts []*codec.Packet) ([]int, error) {
-	return g.DecideAppend(pkts, nil)
+	return g.DecideRoundAppend(pkts, nil, nil)
 }
 
-// DecideAppend is Decide appending the selection into dst (which may be
+// DecideRoundAppend is Decide appending the selection into dst (which may be
 // nil): callers that recycle dst across rounds pay zero allocations for the
-// result. On error the returned slice is nil.
-func (g *Gate) DecideAppend(pkts []*codec.Packet, dst []int) ([]int, error) {
-	g.decideMu.Lock()
-	defer g.decideMu.Unlock()
-	if err := g.decideLocked(pkts, nil); err != nil {
-		return nil, err
-	}
-	return append(dst, g.selOut...), nil
-}
-
-// DecideRoundAppend is DecideAppend for callers that already know which
-// streams delivered a packet this round: nonIdle must list exactly the
-// indices i with pkts[i] != nil, strictly ascending. Producers that assemble
-// the round (the pipelined engine, replay) build this list for free while
-// placing packets, and handing it over lets the gate skip its own O(m) scan
-// — with a small fleet slice active inside a large configured fleet, the
-// whole round then costs O(non-idle), not O(m). The list is only read for
-// the duration of the call.
+// result. On error the returned slice is nil. Callers that already know
+// which streams delivered a packet this round pass them as nonIdle, which
+// must list exactly the indices i with pkts[i] != nil, strictly ascending;
+// nil makes the gate scan pkts itself. Producers that assemble the round
+// (the pipelined engine, replay) build this list for free while placing
+// packets, and handing it over lets the gate skip its own O(m) scan — with
+// a small fleet slice active inside a large configured fleet, the whole
+// round then costs O(non-idle), not O(m). The list is only read for the
+// duration of the call.
 func (g *Gate) DecideRoundAppend(pkts []*codec.Packet, nonIdle []int32, dst []int) ([]int, error) {
 	g.decideMu.Lock()
 	defer g.decideMu.Unlock()
@@ -557,17 +524,6 @@ func (g *Gate) DecideSparseAppend(r *codec.Round, dst []int) ([]int, error) {
 		return nil, err
 	}
 	return append(dst, g.selOut...), nil
-}
-
-// groupByShard splits ids (ascending stream IDs) into g.shardIDs by shard.
-func (g *Gate) groupByShard(ids []int32) {
-	s := int32(len(g.shards.shards))
-	for k := range g.shardIDs {
-		g.shardIDs[k] = g.shardIDs[k][:0]
-	}
-	for _, i := range ids {
-		g.shardIDs[i%s] = append(g.shardIDs[i%s], i)
-	}
 }
 
 func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
@@ -615,12 +571,12 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 	g.touched = g.touched[:0]
 
 	// 1. Advance the circuit breakers (when armed) and fold packet
-	// metadata into the per-stream feature store, reading the sharded
-	// per-stream state (temporal estimate, exploration bonus,
-	// dependency-inclusive cost) one shard lock at a time. Quarantined
-	// streams are observed but excluded: their windows stay frozen
-	// (untrusted metadata), their packets never enter the selection, and
-	// the budget they would have consumed flows to the healthy streams.
+	// metadata into the per-stream feature store, reading the per-stream
+	// temporal estimate, exploration bonus, and dependency-inclusive cost
+	// under the estimator lock. Quarantined streams are observed but
+	// excluded: their windows stay frozen (untrusted metadata), their
+	// packets never enter the selection, and the budget they would have
+	// consumed flows to the healthy streams.
 	// Brownout modes shed packets at admission here too — shed streams
 	// still push their (trusted) windows so context stays warm for
 	// recovery, but they are excluded from scoring and selection.
@@ -648,32 +604,23 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 	if shedCount > 0 {
 		g.cfg.Overload.AddShed(int64(shedCount))
 	}
-	numShards := len(g.shards.shards)
 	depAware := *g.cfg.DependencyAware
-	g.groupByShard(g.sweep)
-	for k, sh := range g.shards.shards {
-		lst := g.shardIDs[k]
-		if len(lst) == 0 {
-			continue
+	g.estMu.Lock()
+	for _, i32 := range g.sweep {
+		i := int(i32)
+		p := pkts[i]
+		g.store.Push(i, p)
+		if g.est != nil {
+			g.temporal[i] = g.est.Exploit(i)
+			g.bonus[i] = g.est.Bonus(i)
 		}
-		sh.mu.Lock()
-		for _, i32 := range lst {
-			i := int(i32)
-			li := i / numShards
-			p := pkts[i]
-			sh.store.Push(li, p)
-			if sh.est != nil {
-				g.temporal[i] = sh.est.Exploit(li)
-				g.bonus[i] = sh.est.Bonus(li)
-			}
-			if depAware {
-				g.costs[i] = sh.trackers[li].Cost(p)
-			} else {
-				g.costs[i] = g.cfg.Costs.Of(p.Type)
-			}
+		if depAware {
+			g.costs[i] = g.trackers[i].Cost(p)
+		} else {
+			g.costs[i] = g.cfg.Costs.Of(p.Type)
 		}
-		sh.mu.Unlock()
 	}
+	g.estMu.Unlock()
 
 	// 2. Confidence per stream: contextual predictor fused with the
 	// temporal estimate, plus the exploration bonus (Alg. 1 line 5-6).
@@ -694,11 +641,10 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 		g.feats = g.feats[:0]
 		g.fresh = g.fresh[:0]
 		for _, i := range g.active {
-			sh, li := g.shards.shardOf(i)
 			// Fault-aware gates degrade streams whose metadata windows
 			// are poisoned to the temporal-only estimate instead of
 			// trusting the network on garbage input.
-			if g.breakers != nil && sh.store.Poisoned(li) {
+			if g.breakers != nil && g.store.Poisoned(i) {
 				g.degraded[i] = true
 				g.conf[i] = g.temporal[i]
 				continue
@@ -708,7 +654,7 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 			// feature windows refill: the predictor never scores cold
 			// windows.
 			if g.warmTarget != nil && g.warmTarget[i] > 0 {
-				if sh.store.Pushes(li) >= g.warmTarget[i] {
+				if g.store.Pushes(i) >= g.warmTarget[i] {
 					g.warmTarget[i] = 0
 				} else {
 					g.degraded[i] = true
@@ -720,31 +666,26 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 			if g.cfg.UseTemporal {
 				t = g.temporal[i]
 			}
-			if g.inc {
-				if g.cacheValid[i] && g.cacheEpoch[i] == sh.store.Epoch(li) &&
-					g.cacheTemp[i] == t && g.cachePredVer[i] == pVer {
-					g.conf[i] = g.cacheConf[i]
-					g.incStats.CacheHits++
-					continue
-				}
-				g.cacheValid[i] = false
-				g.cacheEpoch[i] = sh.store.Epoch(li)
-				g.cacheTemp[i] = t
-				g.cachePredVer[i] = pVer
+			epoch := g.store.Epoch(i)
+			if g.cacheValid[i] && g.cacheEpoch[i] == epoch &&
+				g.cacheTemp[i] == t && g.cachePredVer[i] == pVer {
+				g.conf[i] = g.cacheConf[i]
+				g.incStats.CacheHits++
+				continue
 			}
+			g.cacheValid[i] = false
+			g.cacheEpoch[i] = epoch
+			g.cacheTemp[i] = t
+			g.cachePredVer[i] = pVer
 			g.fresh = append(g.fresh, i)
-			g.feats = append(g.feats, sh.store.Features(li, t))
+			g.feats = append(g.feats, g.store.Features(i, t))
 		}
 		if len(g.feats) > 0 {
 			if cap(g.predOut) < len(g.feats)*g.tasks {
 				g.predOut = make([]float64, len(g.feats)*g.tasks)
 			}
 			preds := g.predOut[:len(g.feats)*g.tasks]
-			if g.cfg.NoFastPath {
-				for k, row := range g.cfg.Predictor.PredictBatch(g.feats) {
-					copy(preds[k*g.tasks:(k+1)*g.tasks], row)
-				}
-			} else if err := g.cfg.Predictor.PredictInto(g.feats, preds); err != nil {
+			if err := g.forward(g.feats, preds); err != nil {
 				return fmt.Errorf("core: fast-path inference: %w", err)
 			}
 			for k, i := range g.fresh {
@@ -760,10 +701,8 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 					net = row[g.cfg.TaskIndex]
 				}
 				g.conf[i] = net
-				if g.inc {
-					g.cacheConf[i] = net
-					g.cacheValid[i] = true
-				}
+				g.cacheConf[i] = net
+				g.cacheValid[i] = true
 			}
 		}
 		g.incStats.Scored += int64(len(g.active))
@@ -775,12 +714,11 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 				if g.degraded[i] {
 					continue // poisoned features must not train the net
 				}
-				sh, li := g.shards.shardOf(i)
 				t := 0.0
 				if g.cfg.UseTemporal {
 					t = g.temporal[i]
 				}
-				roundFeats[i] = roundSlab.CloneInto(sh.store.Features(li, t))
+				roundFeats[i] = roundSlab.CloneInto(g.store.Features(i, t))
 			}
 		}
 	} else {
@@ -798,11 +736,12 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 	// incremental structure re-ranks only the streams whose (value, cost)
 	// moved since their last offer and merges them into its persistent
 	// order — O(churn·log churn + selections) per round, provably the
-	// same selection as the dense greedy/tiered sort (knapsack tests).
-	// The dense path re-builds and re-sorts everything: it serves custom
-	// Selectors and the NoIncremental oracle. Quarantined and
-	// brownout-shed streams are simply never offered (dense: zero-value
-	// items), so their budget flows to the healthy streams.
+	// same selection as the dense greedy/tiered sort (knapsack tests). A
+	// custom Selector gets the round's candidates instead: the active list
+	// is ascending by stream id, so positional tie-breaks in the selector
+	// match dense index tie-breaks exactly. Quarantined and brownout-shed
+	// streams are simply never offered, so their budget flows to the
+	// healthy streams.
 	if g.ranked != nil {
 		nt := g.numTiers
 		if nt == 0 {
@@ -817,36 +756,18 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 			g.ranked.Offer(i, g.conf[i], g.costs[i], tier)
 		}
 		g.selOut = g.ranked.SelectAppend(g.selOut[:0], nt, bEff)
-	} else if g.selSparse != nil && g.tiered == nil && !g.cfg.NoIncremental {
-		// Sparse custom selectors (the cluster worker's remote solve) get a
-		// compact candidate list instead of the O(m) dense item build: the
-		// active list is ascending by stream id, so positional tie-breaks in
-		// the selector match dense index tie-breaks exactly.
+	} else {
 		g.cands = g.cands[:0]
 		for _, i := range g.active {
 			g.cands = append(g.cands, knapsack.Candidate{Stream: int32(i), Value: g.conf[i], Cost: g.costs[i]})
 		}
-		g.selOut = g.selSparse.SelectSparseAppend(g.selOut[:0], g.cands, bEff)
-	} else {
-		for i := range g.items {
-			g.items[i] = knapsack.Item{}
-			if pkts[i] != nil && (quar == nil || !quar[i]) && !g.shed[i] {
-				g.items[i] = knapsack.Item{Value: g.conf[i], Cost: g.costs[i]}
-			}
-		}
-		if g.tiered != nil {
-			g.selOut = g.tiered.SelectAppend(g.selOut[:0], g.items, g.tiers, g.numTiers, bEff)
-		} else if g.selApp != nil {
-			g.selOut = g.selApp.SelectAppend(g.selOut[:0], g.items, bEff)
-		} else {
-			g.selOut = append(g.selOut[:0], g.cfg.Selector.Select(g.items, bEff)...)
-		}
+		g.selOut = g.custom.SelectSparseAppend(g.selOut[:0], g.cands, bEff)
 	}
 	sel := g.selOut
 
-	// 4. Commit decisions to the dependency trackers, shard by shard.
-	// Every non-idle packet commits — including quarantined and shed ones
-	// (as unselected), which keeps reference-chain debts truthful. With
+	// 4. Commit decisions to the dependency trackers. Every non-idle
+	// packet commits — including quarantined and shed ones (as
+	// unselected), which keeps reference-chain debts truthful. With
 	// dependency-aware costing off the trackers have no consumer (Cost
 	// above took the bare per-type cost), so the whole pass is skipped —
 	// an O(m) saving per round that cannot affect any decision.
@@ -854,18 +775,8 @@ func (g *Gate) decideLocked(pkts []*codec.Packet, nonIdle []int32) error {
 		g.selected[i] = true
 	}
 	if depAware {
-		g.groupByShard(nonIdle)
-		for k, sh := range g.shards.shards {
-			lst := g.shardIDs[k]
-			if len(lst) == 0 {
-				continue
-			}
-			sh.mu.Lock()
-			for _, i32 := range lst {
-				i := int(i32)
-				sh.trackers[i/numShards].Commit(pkts[i], g.selected[i])
-			}
-			sh.mu.Unlock()
+		for _, i := range nonIdle {
+			g.trackers[i].Commit(pkts[i], g.selected[i])
 		}
 	}
 
@@ -934,6 +845,25 @@ func (g *Gate) admit(mode overload.Mode, i int, p *codec.Packet) bool {
 	default:
 		return true
 	}
+}
+
+// denseSelector adapts a Selector that indexes an m-length item array by
+// stream (the ablation baselines) to the gate's candidate list: the round's
+// candidates are placed in the array, every other stream is a zero item.
+type denseSelector struct {
+	sel   knapsack.Selector
+	items []knapsack.Item // all zero between rounds
+}
+
+func (d *denseSelector) SelectSparseAppend(dst []int, cands []knapsack.Candidate, budget float64) []int {
+	for _, c := range cands {
+		d.items[c.Stream] = knapsack.Item{Value: c.Value, Cost: c.Cost}
+	}
+	dst = append(dst, d.sel.Select(d.items, budget)...)
+	for _, c := range cands {
+		d.items[c.Stream] = knapsack.Item{}
+	}
+	return dst
 }
 
 // grabSel / grabBools / grabFeatsMap recycle retired pending-round buffers.
@@ -1035,34 +965,43 @@ func (g *Gate) FeedbackFull(selected []int, necessary, failed, deferred []bool) 
 	if len(selected) != len(pr.sel) {
 		return fmt.Errorf("core: feedback for %d selections, pending round selected %d", len(selected), len(pr.sel))
 	}
+	// Match every entry against the round's selection mask, clearing each
+	// flag as it matches so that a stream listed twice fails as well. A
+	// mismatch restores the mask: the round stays pending.
 	for _, i := range selected {
-		if i < 0 || i >= g.cfg.Streams {
-			return fmt.Errorf("core: feedback for invalid stream %d", i)
+		var err error
+		switch {
+		case i < 0 || i >= g.cfg.Streams:
+			err = fmt.Errorf("core: feedback for invalid stream %d", i)
+		case !pr.selBools[i]:
+			err = fmt.Errorf("core: feedback for stream %d, which the pending round did not select or which it lists twice", i)
 		}
-		if !pr.selBools[i] {
-			return fmt.Errorf("core: feedback for stream %d, which the pending round did not select", i)
+		if err != nil {
+			for _, j := range pr.sel {
+				pr.selBools[j] = true
+			}
+			return err
 		}
+		pr.selBools[i] = false
 	}
-	// The reward scratch is all-zero between feedbacks; set exactly the
-	// rewarded entries and clear them again once the estimator push lists
-	// below are built.
+	// Re-arm the mask for every slot but the deferred ones: a deferred slot
+	// is recorded as unselected in the estimator push below, which keeps
+	// abandoned decodes out of the UCB windows. The reward scratch is
+	// all-zero between feedbacks; set exactly the rewarded entries and
+	// clear them again once the estimator push list is built.
+	var nDeferred int64
 	for k, i := range selected {
-		if necessary[k] && (deferred == nil || !deferred[k]) {
+		if deferred != nil && deferred[k] {
+			nDeferred++
+			continue
+		}
+		pr.selBools[i] = true
+		if necessary[k] {
 			g.reward[i] = 1
 		}
 	}
-	// Deferred slots are recorded as unselected before the estimator push:
-	// the round's selBools buffer is about to be recycled anyway, and the
-	// cleared flag is what keeps abandoned decodes out of the UCB windows.
 	if deferred != nil {
-		var n int64
-		for k, i := range selected {
-			if deferred[k] {
-				pr.selBools[i] = false
-				n++
-			}
-		}
-		g.cfg.Overload.AddDeferred(n)
+		g.cfg.Overload.AddDeferred(nDeferred)
 	}
 
 	// Fold decode outcomes into the circuit breakers: a failure run opens
@@ -1077,27 +1016,27 @@ func (g *Gate) FeedbackFull(selected []int, necessary, failed, deferred []bool) 
 		}
 	}
 
-	// Push the round into every shard's estimator, visiting only the
-	// round's selections instead of all m streams. Shard locks are taken
-	// one at a time, so a concurrent Decide proceeds on the other shards.
-	numShards := len(g.shards.shards)
-	for _, sh := range g.shards.shards {
-		sh.pushIDs = sh.pushIDs[:0]
-		sh.pushRew = sh.pushRew[:0]
-	}
+	// Push the round into the estimator, visiting only the round's
+	// selections instead of all m streams.
+	g.pushIDs = g.pushIDs[:0]
+	g.pushRew = g.pushRew[:0]
 	for _, i := range pr.sel {
 		if !pr.selBools[i] {
 			continue // settled as deferred
 		}
-		sh := g.shards.shards[i%numShards]
-		sh.pushIDs = append(sh.pushIDs, int32(i/numShards))
-		sh.pushRew = append(sh.pushRew, g.reward[i])
+		g.pushIDs = append(g.pushIDs, int32(i))
+		g.pushRew = append(g.pushRew, g.reward[i])
 	}
 	for _, i := range selected {
 		g.reward[i] = 0
 	}
-	if err := g.shards.pushSparse(); err != nil {
-		return err
+	if g.est != nil {
+		g.estMu.Lock()
+		err := g.est.PushSparse(g.pushIDs, g.pushRew)
+		g.estMu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 
 	// Online fine-tuning: weight updates share decideMu with the forward

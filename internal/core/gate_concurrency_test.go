@@ -36,52 +36,6 @@ func syntheticNecessary(round int, sel []int) []bool {
 	return nec
 }
 
-// TestGateShardCountInvariance verifies that sharding is purely a
-// concurrency knob: gates differing only in shard count make identical
-// decisions on an identical packet and feedback sequence.
-func TestGateShardCountInvariance(t *testing.T) {
-	const m, rounds = 13, 120
-	mk := func(shards int) *Gate {
-		g, err := NewGate(Config{Streams: m, Budget: 6, UseTemporal: true, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	gates := []*Gate{mk(1), mk(5), mk(m)}
-	streams := concFleet(m, 77)
-	for r := 0; r < rounds; r++ {
-		pkts := nextRoundPkts(streams)
-		var ref []int
-		for gi, g := range gates {
-			sel, err := g.Decide(pkts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gi == 0 {
-				ref = sel
-			} else if len(sel) != len(ref) {
-				t.Fatalf("round %d: gate with %d shards selected %v, 1-shard gate %v", r, g.Config().Shards, sel, ref)
-			} else {
-				for k := range sel {
-					if sel[k] != ref[k] {
-						t.Fatalf("round %d: gate with %d shards selected %v, 1-shard gate %v", r, g.Config().Shards, sel, ref)
-					}
-				}
-			}
-			if err := g.Feedback(sel, syntheticNecessary(r, sel)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ref := gates[0].Stats()
-	for _, g := range gates[1:] {
-		if g.Stats() != ref {
-			t.Errorf("stats diverged across shard counts: %+v vs %+v", g.Stats(), ref)
-		}
-	}
-}
-
 // TestGateMultiPendingQueue exercises the decided-but-unacked FIFO: up to
 // MaxPending rounds may be outstanding, the next Decide fails, and feedback
 // retires rounds strictly in decision order.
@@ -137,11 +91,13 @@ func TestGateMultiPendingQueue(t *testing.T) {
 
 // TestGateConcurrentDecideFeedback runs a producer goroutine deciding
 // rounds against a consumer goroutine acking them (the staged engine's
-// topology), with concurrent Stats/Pending/Confidence readers. Run under
-// -race this validates the sharded gate's locking.
+// topology), so Decide overlaps Feedback with up to MaxPending > 1 rounds
+// unacked, with concurrent Stats/Pending/Confidence readers and a stream
+// migrator that exports and re-imports state whenever the gate is between
+// rounds. Run under -race this validates the gate's locking.
 func TestGateConcurrentDecideFeedback(t *testing.T) {
 	const m, k, rounds = 32, 4, 300
-	g, err := NewGate(Config{Streams: m, Budget: 10, UseTemporal: true, MaxPending: k, Shards: 8})
+	g, err := NewGate(Config{Streams: m, Budget: 10, UseTemporal: true, MaxPending: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +129,24 @@ func TestGateConcurrentDecideFeedback(t *testing.T) {
 			}
 		}(w)
 	}
+	// The migrator's Export/Import succeed only while no round is pending;
+	// the rest of the time they must refuse (rounds pending, or the clock
+	// moved between export and import) without touching the gate.
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for i := 0; ; i = (i + 1) % m {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st, err := g.ExportStream(i)
+			if err == nil {
+				_ = g.ImportStream(i, st)
+			}
+		}
+	}()
 	var consumer sync.WaitGroup
 	consumer.Add(1)
 	consumerErr := make(chan error, 1)
@@ -211,5 +185,13 @@ func TestGateConcurrentDecideFeedback(t *testing.T) {
 	}
 	if g.Pending() != 0 {
 		t.Errorf("pending = %d after drain", g.Pending())
+	}
+	// Drained, a migration round trip must succeed.
+	exp, err := g.ExportStream(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.ImportStream(3, exp); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -77,6 +77,48 @@ func TestGateProtocolEnforced(t *testing.T) {
 	}
 }
 
+// TestFeedbackRejectsRepeatedStream: a feedback that lists one selected
+// stream in place of the others must fail and leave the round pending.
+// Accepting it would record the streams it omits in the UCB window as
+// selected and redundant, a verdict nobody gave.
+func TestFeedbackRejectsRepeatedStream(t *testing.T) {
+	const m = 4
+	g, err := NewGate(Config{Streams: m, Budget: 100, UseTemporal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := make([]*codec.Packet, m)
+	for i := range pkts {
+		pkts[i] = &codec.Packet{StreamID: i, Type: codec.PictureI, GOPSize: 5, Size: 1000}
+	}
+	sel, err := g.Decide(pkts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sel) != m {
+		t.Fatalf("selected %v, want all %d streams", sel, m)
+	}
+	dup := make([]int, m)
+	for k := range dup {
+		dup[k] = sel[0]
+	}
+	nec := []bool{true, true, true, true}
+	if err := g.Feedback(dup, nec); err == nil {
+		t.Fatalf("feedback %v for selection %v accepted", dup, sel)
+	}
+	if g.Pending() != 1 {
+		t.Fatalf("rejected feedback retired the round: pending = %d", g.Pending())
+	}
+	if err := g.Feedback(sel, nec); err != nil {
+		t.Fatalf("genuine feedback after the rejected one: %v", err)
+	}
+	for i, v := range exploitSnapshot(g) {
+		if v != 1 {
+			t.Errorf("stream %d: exploitation %v, want 1 from its necessary verdict", i, v)
+		}
+	}
+}
+
 func TestGateRejectsWrongPacketCount(t *testing.T) {
 	g, err := NewGate(Config{Streams: 3, Budget: 5, UseTemporal: true})
 	if err != nil {

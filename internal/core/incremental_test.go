@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"packetgame/internal/codec"
+	"packetgame/internal/knapsack"
 	"packetgame/internal/overload"
 	"packetgame/internal/predictor"
 	"packetgame/internal/trace"
@@ -109,32 +110,36 @@ func tinyPredictor(t *testing.T, tasks int, useTemporal bool) *predictor.Predict
 
 func boolPtr(b bool) *bool { return &b }
 
-// TestIncrementalMatchesDenseOracle is the tentpole's bit-identity contract:
-// for every configuration, an incremental gate (score cache, ranked
-// selection, lazy breakers, sparse feedback) and a NoIncremental oracle gate
-// driven with identical packets, feedback, and overload schedules must
-// produce identical selections every round, identical decision traces,
-// identical lifetime stats, and identical breaker snapshots.
+// TestIncrementalMatchesDenseOracle is the churn-scaled gate's bit-identity
+// contract. For every configuration, a gate (score cache, ranked selection,
+// lazy breakers, sparse feedback) and an oracle twin whose score cache is
+// dropped before every round, so that it runs the forward for every scored
+// stream, are driven with identical packets, feedback, and overload
+// schedules. They must produce identical selections every round, identical
+// decision traces, identical lifetime stats, and identical breaker
+// snapshots. Every round's selection must also equal the dense
+// knapsack.Greedy (or knapsack.Tiered, with priorities) solve rerun on that
+// round's trace record.
 func TestIncrementalMatchesDenseOracle(t *testing.T) {
 	cases := []oracleCase{
 		{
 			name: "temporal-only", m: 24, rounds: 1000, seed: 11,
 			cfg: func(m int) Config {
-				return Config{Streams: m, Window: 4, Budget: 10, UseTemporal: true, Shards: 3}
+				return Config{Streams: m, Window: 4, Budget: 10, UseTemporal: true}
 			},
 		},
 		{
 			name: "fused-alltasks", m: 24, rounds: 1000, seed: 12,
 			cfg: func(m int) Config {
 				return Config{Streams: m, Window: 4, Budget: 10, UseTemporal: true,
-					TaskIndex: AllTasks, Shards: 3}
+					TaskIndex: AllTasks}
 			},
 		},
 		{
 			name: "predictor-only", m: 24, rounds: 1000, seed: 13, wantHits: true,
 			cfg: func(m int) Config {
 				return Config{Streams: m, Window: 4, Budget: 10, UseTemporal: false,
-					Explore: boolPtr(false), DependencyAware: boolPtr(false), Shards: 4}
+					Explore: boolPtr(false), DependencyAware: boolPtr(false)}
 			},
 		},
 		{
@@ -147,14 +152,14 @@ func TestIncrementalMatchesDenseOracle(t *testing.T) {
 				}
 				return Config{Streams: m, Window: 4, Budget: 10, UseTemporal: true,
 					Breaker:    &BreakerConfig{FailureThreshold: 2, GapThreshold: 5, Cooldown: 4},
-					Priorities: prio, Shards: 3}
+					Priorities: prio}
 			},
 		},
 		{
 			name: "online-learning", m: 24, rounds: 800, seed: 15,
 			cfg: func(m int) Config {
 				return Config{Streams: m, Window: 4, Budget: 10, UseTemporal: true,
-					OnlineLR: 0.05, OnlineBatch: 16, TaskIndex: 0, Shards: 3}
+					OnlineLR: 0.05, OnlineBatch: 16, TaskIndex: 0}
 			},
 		},
 	}
@@ -164,7 +169,7 @@ func TestIncrementalMatchesDenseOracle(t *testing.T) {
 }
 
 func runOracleCase(t *testing.T, tc oracleCase) {
-	mk := func(noInc bool) (*Gate, *memSink, *overload.Scripted) {
+	mk := func() (*Gate, *memSink, *overload.Scripted) {
 		cfg := tc.cfg(tc.m)
 		switch tc.name {
 		case "temporal-only":
@@ -180,15 +185,15 @@ func runOracleCase(t *testing.T, tc oracleCase) {
 		plan := overload.NewScripted(cfg.Budget)
 		cfg.Trace = sink
 		cfg.Planner = plan
-		cfg.NoIncremental = noInc
 		g, err := NewGate(cfg)
 		if err != nil {
-			t.Fatalf("NewGate(noInc=%v): %v", noInc, err)
+			t.Fatalf("NewGate: %v", err)
 		}
 		return g, sink, plan
 	}
-	inc, incSink, incPlan := mk(false)
-	ora, oraSink, oraPlan := mk(true)
+	inc, incSink, incPlan := mk()
+	ora, oraSink, oraPlan := mk()
+	dense := denseOracle(inc.Config())
 
 	rng := rand.New(rand.NewSource(tc.seed))
 	modes := []overload.Mode{overload.ModeFull, overload.ModeFull, overload.ModeFull,
@@ -240,6 +245,7 @@ func runOracleCase(t *testing.T, tc oracleCase) {
 		// the self-scanning Decide must behave identically.
 		var selInc, selOra []int
 		var err1, err2 error
+		ora.dropScoreCache()
 		if r%3 == 0 {
 			selInc, err1 = inc.DecideRoundAppend(pkts, nonIdle, nil)
 			selOra, err2 = ora.DecideRoundAppend(pkts, nonIdle, nil)
@@ -277,6 +283,9 @@ func runOracleCase(t *testing.T, tc oracleCase) {
 		if err := ora.FeedbackFull(selOra, necessary, failed, deferred); err != nil {
 			t.Fatalf("round %d: oracle feedback: %v", r, err)
 		}
+		if want := dense(incSink.rounds[r]); !reflect.DeepEqual(selInc, want) {
+			t.Fatalf("round %d: selection %v, dense solve on the trace record %v", r, selInc, want)
+		}
 	}
 
 	if len(incSink.rounds) != tc.rounds || len(oraSink.rounds) != tc.rounds {
@@ -305,6 +314,29 @@ func runOracleCase(t *testing.T, tc oracleCase) {
 	}
 	if ost := ora.Incremental(); ost.CacheHits != 0 {
 		t.Fatalf("oracle gate used the cache: %+v", ost)
+	}
+}
+
+// denseOracle returns the dense reference solve for cfg's gate: it rebuilds
+// a round's m-length item array from the round's trace record (every scored
+// stream's confidence and cost; every other stream is a zero item) and
+// reruns knapsack.Greedy on it — knapsack.Tiered with cfg.Priorities —
+// under the round's effective budget.
+func denseOracle(cfg Config) func(trace.Round) []int {
+	items := make([]knapsack.Item, cfg.Streams)
+	numTiers := 0
+	for _, p := range cfg.Priorities {
+		numTiers = max(numTiers, int(p)+1)
+	}
+	return func(rec trace.Round) []int {
+		clear(items)
+		for _, d := range rec.Decisions {
+			items[d.Stream] = knapsack.Item{Value: d.Confidence, Cost: d.Cost}
+		}
+		if numTiers > 0 {
+			return (&knapsack.Tiered{}).SelectAppend(nil, items, cfg.Priorities, numTiers, rec.Budget)
+		}
+		return (&knapsack.Greedy{}).Select(items, rec.Budget)
 	}
 }
 

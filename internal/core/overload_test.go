@@ -190,15 +190,13 @@ func TestGateTemporalOnlyModeSkipsPredictor(t *testing.T) {
 // exploitSnapshot reads every stream's current temporal exploitation term.
 func exploitSnapshot(g *Gate) []float64 {
 	out := make([]float64, g.cfg.Streams)
-	for _, sh := range g.shards.shards {
-		if sh.est == nil {
-			continue
-		}
-		sh.mu.Lock()
-		for li, i := range sh.ids {
-			out[i] = sh.est.Exploit(li)
-		}
-		sh.mu.Unlock()
+	if g.est == nil {
+		return out
+	}
+	g.estMu.Lock()
+	defer g.estMu.Unlock()
+	for i := range out {
+		out[i] = g.est.Exploit(i)
 	}
 	return out
 }
@@ -365,7 +363,7 @@ func TestGovernedDecideRoundAllocCeiling(t *testing.T) {
 	round := 0
 	run := func() {
 		var err error
-		sel, err = g.DecideAppend(pre[round%rounds], sel[:0])
+		sel, err = g.DecideRoundAppend(pre[round%rounds], nil, sel[:0])
 		if err != nil {
 			t.Fatal(err)
 		}

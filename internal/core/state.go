@@ -99,7 +99,8 @@ func (g *Gate) ClockRound() int64 {
 
 // lockQuiescent takes the decide and ack locks and verifies no round is
 // awaiting feedback — the only window in which per-stream state is coherent
-// enough to move. The returned func releases the locks.
+// enough to move. Holding both locks excludes Decide and Feedback, so the
+// per-stream state needs no further lock. The returned func releases them.
 func (g *Gate) lockQuiescent(op string) (func(), error) {
 	g.decideMu.Lock()
 	g.ackMu.Lock()
@@ -130,21 +131,15 @@ func (g *Gate) ExportStream(i int) (StreamState, error) {
 	}
 	defer unlock()
 	st := StreamState{Round: g.stats.Rounds}
-	sh, li := g.shards.shardOf(i)
-	sh.mu.Lock()
-	if sh.est != nil {
-		st.Temporal, err = sh.est.ExportStream(li)
+	if g.est != nil {
+		if st.Temporal, err = g.est.ExportStream(i); err != nil {
+			return StreamState{}, err
+		}
 	}
-	if err == nil {
-		st.Row, err = sh.store.ExportRow(li)
-	}
-	if err == nil {
-		st.Tracker = sh.trackers[li].Export()
-	}
-	sh.mu.Unlock()
-	if err != nil {
+	if st.Row, err = g.store.ExportRow(i); err != nil {
 		return StreamState{}, err
 	}
+	st.Tracker = g.trackers[i].Export()
 	if g.breakers != nil {
 		st.HasBreaker = true
 		st.Breaker = g.breakers.exportStream(i)
@@ -172,22 +167,15 @@ func (g *Gate) RetireStream(i int) error {
 
 // resetStreamLocked clears stream i's state under the quiescent locks.
 func (g *Gate) resetStreamLocked(i int, fresh bool) error {
-	sh, li := g.shards.shardOf(i)
-	sh.mu.Lock()
-	var err error
-	if sh.est != nil {
-		err = sh.est.RemoveStream(li)
+	if g.est != nil {
+		if err := g.est.RemoveStream(i); err != nil {
+			return err
+		}
 	}
-	if err == nil {
-		err = sh.store.ResetRow(li)
-	}
-	if err == nil {
-		sh.trackers[li].Reset()
-	}
-	sh.mu.Unlock()
-	if err != nil {
+	if err := g.store.ResetRow(i); err != nil {
 		return err
 	}
+	g.trackers[i].Reset()
 	if g.breakers != nil {
 		g.breakers.resetStream(i, fresh)
 	}
@@ -220,21 +208,15 @@ func (g *Gate) ImportStream(i int, st StreamState) error {
 	if err := g.resetStreamLocked(i, false); err != nil {
 		return err
 	}
-	sh, li := g.shards.shardOf(i)
-	sh.mu.Lock()
-	if sh.est != nil {
-		err = sh.est.ImportStream(li, st.Temporal)
+	if g.est != nil {
+		if err := g.est.ImportStream(i, st.Temporal); err != nil {
+			return err
+		}
 	}
-	if err == nil {
-		err = sh.store.ImportRow(li, st.Row)
-	}
-	if err == nil {
-		sh.trackers[li].Import(st.Tracker)
-	}
-	sh.mu.Unlock()
-	if err != nil {
+	if err := g.store.ImportRow(i, st.Row); err != nil {
 		return err
 	}
+	g.trackers[i].Import(st.Tracker)
 	if g.breakers != nil && st.HasBreaker {
 		g.breakers.importStream(i, st.Breaker)
 	}
@@ -302,13 +284,8 @@ func (g *Gate) AdvanceTo(T int64) error {
 	if T < 0 {
 		return fmt.Errorf("core: AdvanceTo(%d): negative round", T)
 	}
-	for _, sh := range g.shards.shards {
-		sh.mu.Lock()
-		if sh.est != nil {
-			err = sh.est.AdvanceTo(T)
-		}
-		sh.mu.Unlock()
-		if err != nil {
+	if g.est != nil {
+		if err := g.est.AdvanceTo(T); err != nil {
 			return err
 		}
 	}

@@ -48,7 +48,7 @@ func driveStateRounds(t *testing.T, g *Gate, m, rounds int, seed int64, gopIdx [
 func stateTestGate(t *testing.T, m int, withPred bool) *Gate {
 	t.Helper()
 	cfg := Config{
-		Streams: m, Window: 4, Budget: 9, UseTemporal: true, Shards: 3,
+		Streams: m, Window: 4, Budget: 9, UseTemporal: true,
 		Breaker: &BreakerConfig{FailureThreshold: 2, GapThreshold: 6, Cooldown: 4},
 	}
 	if withPred {

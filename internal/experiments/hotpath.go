@@ -11,47 +11,31 @@ import (
 	"packetgame/internal/predictor"
 )
 
-// Hotpath benchmarks the gating hot loop: full Decide+Feedback rounds on the
-// compiled float32 fast path versus the float64 autodiff reference, swept
-// over fleet sizes, plus the compiled forward-pass micro leg as a measured
+// Hotpath benchmarks the gating hot loop: full Decide+Feedback rounds swept
+// over fleet sizes, plus the compiled forward-pass micro leg (compiled
+// float32 graph versus the float64 autodiff reference) as a measured
 // accelerator. At full scale (-scale 1) it writes the results to
-// BENCH_hotpath.json so the speedup-vs-baseline acceptance numbers are
-// recorded alongside the repo. (An int8-quantized leg used to be measured
+// BENCH_hotpath.json so they are recorded alongside the repo. (An int8-quantized leg used to be measured
 // here too; it held at ~0.28× the float32 kernels and the quantized path
 // was removed — see DESIGN.md for the numbers and rationale.)
 func Hotpath(o Options) error {
 	o = o.withDefaults()
 	var report hotpathReport
 
-	o.printf("=== Hot path: Decide+Feedback rounds, fast vs reference gate ===\n")
-	o.printf("%-7s %-10s %14s %14s %10s\n", "m", "path", "rounds/s", "ns/round", "speedup")
+	o.printf("=== Hot path: Decide+Feedback rounds ===\n")
+	o.printf("%-7s %14s %14s\n", "m", "rounds/s", "ns/round")
 	for _, m := range []int{o.scaled(64, 8), o.scaled(256, 16), o.scaled(1024, 32)} {
 		rounds := 16384 / m
 		if rounds < 12 {
 			rounds = 12
 		}
-		refNs, err := timeDecideRounds(m, rounds, true, o.Seed)
+		ns, err := timeDecideRounds(m, rounds, o.Seed)
 		if err != nil {
 			return err
 		}
-		fastNs, err := timeDecideRounds(m, rounds, false, o.Seed)
-		if err != nil {
-			return err
-		}
-		for _, leg := range []struct {
-			path string
-			ns   float64
-		}{{"reference", refNs}, {"fast", fastNs}} {
-			e := hotpathEntry{
-				M:            m,
-				Path:         leg.path,
-				RoundsPerSec: 1e9 / leg.ns,
-				NsPerRound:   leg.ns,
-				SpeedupVsRef: refNs / leg.ns,
-			}
-			report.DecideRounds = append(report.DecideRounds, e)
-			o.printf("%-7d %-10s %14.1f %14.0f %9.2fx\n", m, e.Path, e.RoundsPerSec, e.NsPerRound, e.SpeedupVsRef)
-		}
+		e := hotpathEntry{M: m, RoundsPerSec: 1e9 / ns, NsPerRound: ns}
+		report.DecideRounds = append(report.DecideRounds, e)
+		o.printf("%-7d %14.1f %14.0f\n", m, e.RoundsPerSec, e.NsPerRound)
 	}
 
 	// Forward-pass micro leg as a measured accelerator: the compiled float32
@@ -106,10 +90,8 @@ func Hotpath(o Options) error {
 
 type hotpathEntry struct {
 	M            int     `json:"m"`
-	Path         string  `json:"path"`
 	RoundsPerSec float64 `json:"rounds_per_sec"`
 	NsPerRound   float64 `json:"ns_per_round"`
-	SpeedupVsRef float64 `json:"speedup_vs_reference"`
 }
 
 type hotpathForward struct {
@@ -126,14 +108,14 @@ type hotpathReport struct {
 // timeDecideRounds measures the mean wall-clock nanoseconds of one
 // Decide+Feedback round over pregenerated packets (codec off the clock),
 // after a short warmup that fills windows, pools, and free lists.
-func timeDecideRounds(m, rounds int, noFast bool, seed int64) (float64, error) {
+func timeDecideRounds(m, rounds int, seed int64) (float64, error) {
 	p, err := predictor.New(predictor.DefaultConfig())
 	if err != nil {
 		return 0, err
 	}
 	g, err := core.NewGate(core.Config{
 		Streams: m, Budget: float64(m) / 25, Predictor: p,
-		UseTemporal: true, NoFastPath: noFast,
+		UseTemporal: true,
 	})
 	if err != nil {
 		return 0, err
@@ -155,7 +137,7 @@ func timeDecideRounds(m, rounds int, noFast bool, seed int64) (float64, error) {
 	var sel []int
 	oneRound := func(r int) error {
 		var err error
-		sel, err = g.DecideAppend(pkts[r%pre], sel[:0])
+		sel, err = g.DecideRoundAppend(pkts[r%pre], nil, sel[:0])
 		if err != nil {
 			return err
 		}

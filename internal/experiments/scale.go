@@ -26,9 +26,8 @@ const scaleAllocCeiling = 32
 // fraction of the fleet varies its packet sizes — the rest repeat their
 // metadata exactly, so their feature windows freeze and the gate serves
 // them from the score cache instead of re-running the predictor. Per-round
-// cost should therefore track churn, not m; the dense recompute
-// (Config.NoIncremental, same decisions bit-for-bit) pays the full forward
-// regardless. At full scale the experiment asserts the headline acceptance
+// cost should therefore track churn, not m; a dense recompute (same
+// decisions bit-for-bit) would pay the full forward regardless. At full scale the experiment asserts the headline acceptance
 // number — at m=100k a 1%-churn round is ≥50× faster than a 100%-churn
 // round — plus the steady-state allocation ceiling in every cell, and
 // writes BENCH_scale.json.

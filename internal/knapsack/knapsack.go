@@ -27,13 +27,6 @@ type Selector interface {
 	Select(items []Item, budget float64) []int
 }
 
-// SelectAppender is an optional Selector extension for hot loops: the chosen
-// indices are appended to dst (which may be nil) so a caller that recycles
-// its selection buffer pays no allocation per round.
-type SelectAppender interface {
-	SelectAppend(dst []int, items []Item, budget float64) []int
-}
-
 // Candidate is one sparse knapsack candidate: the stream it stands for plus
 // its gating value and dependency-inclusive cost. It is the compact form of
 // a dense []Item slot — an Item array is indexed by stream, a Candidate
@@ -108,8 +101,8 @@ func (g *Greedy) Select(items []Item, budget float64) []int {
 	return g.SelectAppend(nil, items, budget)
 }
 
-// SelectAppend implements SelectAppender: selection indices are appended to
-// dst and the only steady-state cost is the O(m log m) sort.
+// SelectAppend is Select appending the selection indices to dst: the only
+// steady-state cost is the O(m log m) sort.
 func (g *Greedy) SelectAppend(dst []int, items []Item, budget float64) []int {
 	g.rank.sortByRatio(items)
 	remaining := budget

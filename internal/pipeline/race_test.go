@@ -13,11 +13,11 @@ import (
 // TestPipelinedStressManyStreams is the staged engine's race stress test:
 // 64 streams, 8 decode workers, 4 rounds in flight, fresh (concurrent)
 // feedback, stage metrics on, and concurrent gate-state readers — run under
-// `go test -race` (see Makefile `race` target) this validates the sharded
-// gate and the collector topology end to end.
+// `go test -race` (see Makefile `race` target) this validates the gate's
+// locking and the collector topology end to end.
 func TestPipelinedStressManyStreams(t *testing.T) {
 	const m, rounds, workers, k = 64, 120, 8, 4
-	g, err := core.NewGate(core.Config{Streams: m, Budget: 24, UseTemporal: true, Shards: 8})
+	g, err := core.NewGate(core.Config{Streams: m, Budget: 24, UseTemporal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
